@@ -114,12 +114,6 @@ def main(argv: list[str] | None = None) -> int:
         from .fleet import main as fleet_main
 
         return fleet_main(argv[1:])
-    if argv and argv[0] == "shard":
-        # Sharded execution of the two-node figures: one worker process
-        # per node, synchronised by the wire's propagation lookahead.
-        from .shard import main as shard_main
-
-        return shard_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description="Regenerate tables/figures of Goglin et al., CLUSTER 2005",

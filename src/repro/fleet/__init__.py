@@ -5,8 +5,8 @@ Two halves:
 * :mod:`repro.fleet.isolate` — the per-run global-state scrub (host-copy
   accounting, obs registry/timeline, fidelity switches, id counters)
   that makes back-to-back in-process runs byte-identical to
-  fresh-process runs.  The sharded engine's fork workers and the NBD
-  chaos harness use the same discipline.
+  fresh-process runs.  The NBD chaos harness uses the same
+  discipline.
 * :mod:`repro.fleet.spec` / :mod:`repro.fleet.runner` — an experiment
   spec declaring a grid over {topology, fidelity mode, workload + API,
   arrival process, offered load, fault plan}; the runner expands the
@@ -18,10 +18,9 @@ Two halves:
 CLI: ``python -m repro.bench fleet --spec SPEC.json [--parallel N]
 [--out PREFIX]``.
 
-The package namespace is lazy (PEP 562): :mod:`repro.sim.shard` and
-:mod:`repro.nbd.chaos` import :mod:`repro.fleet.isolate` for the scrub,
-and must not drag the whole sweep runner (and its workload imports) in
-behind it.
+The package namespace is lazy (PEP 562): :mod:`repro.nbd.chaos`
+imports :mod:`repro.fleet.isolate` for the scrub, and must not drag the
+whole sweep runner (and its workload imports) in behind it.
 """
 
 from .isolate import isolated_run, reset_id_counters

@@ -22,9 +22,9 @@ sweeps and forked parallel sweeps produce byte-identical results.
   ids inside the block match a fresh process (``reset_counters=False``
   opts out for callers nested inside a live outer simulation).
 
-The sharded engine's fork workers (:mod:`repro.sim.shard`) and the NBD
-chaos harness (:mod:`repro.nbd.chaos`) delegate their scrub here, so
-there is exactly one definition of "clean slate".
+The fleet runner and the NBD chaos harness (:mod:`repro.nbd.chaos`)
+delegate their scrub here, so there is exactly one definition of
+"clean slate".
 """
 
 from __future__ import annotations

@@ -156,11 +156,7 @@ def trunk_params(base: LinkParams, propagation_ns: int) -> LinkParams:
 
     Same serialization rate as the host links (Myrinet fabrics are
     homogeneous per generation), longer cable.  Inter-pod trunks use a
-    multiple of the host propagation: physically they leave the rack,
-    and for the sharded engine a longer wire *is* the conservative
-    lookahead window (``repro.sim.border``), so cutting a fabric at its
-    inter-pod trunks gives each synchronization window several times
-    more room than cutting a host link would.
+    multiple of the host propagation: physically they leave the rack.
     """
     from dataclasses import replace
 
@@ -191,7 +187,7 @@ class FabricParams:
 
     ``intra_propagation_ns``/``inter_propagation_ns`` are the trunk
     cable lengths inside a pod/group and between pods/groups; the
-    inter-pod figure is deliberately fat (see :func:`trunk_params`).
+    inter-pod cable leaves the rack, so it is the longer of the two.
     """
 
     routing: str = "ecmp"

@@ -89,10 +89,8 @@ class Switch:
         #: adaptive routing) so the classic star hot path is untouched.
         self._eq: dict[Link, int] = {}
         self._track_q = routing == "adaptive" or egress_buffer_bytes is not None
-        #: In-flight train transits keyed ``(src_nic, train_id)`` —
-        #: train ids are only unique per originating process, so a
-        #: sharded fabric needs the source nic to disambiguate.
-        self._train_runs: dict[tuple[int, int], TrainRun] = {}
+        #: In-flight train transits keyed by ``train_id``.
+        self._train_runs: dict[int, TrainRun] = {}
         #: Optional fault tracer (set by repro.faults.FaultPlan.install).
         self.tracer = None
         # Crossbar accounting on the metrics registry (unregistered
@@ -122,24 +120,13 @@ class Switch:
         Returns ``(link, nic_end)``: the NIC should attach to ``nic_end``
         of the returned link; the switch holds the other end.
         """
-        link = Link(self.env, self.link_params, name=f"{self.name}.l{node_id}")
-        self.attach_port(node_id, link, switch_end="a")
-        return link, "b"
-
-    def attach_port(self, node_id: int, link: Link, switch_end: str = "a") -> None:
-        """Attach an externally built link (e.g. a shard ``BorderLink``)
-        as the port for ``node_id``.
-
-        Host-port egress always drives end ``a``, so ``switch_end`` must
-        be "a"; the parameter exists to make the contract explicit at
-        call sites.
-        """
         if node_id in self._links:
             raise NetworkError(f"node {node_id} already attached to {self.name}")
-        if switch_end != "a":
-            raise NetworkError(f"switch must hold end 'a', got {switch_end!r}")
-        link.attach(switch_end, self._make_ingress(link))
+        link = Link(self.env, self.link_params, name=f"{self.name}.l{node_id}")
+        # Host-port egress always drives end "a".
+        link.attach("a", self._make_ingress(link))
         self._links[node_id] = link
+        return link, "b"
 
     def attach_trunk(self, port_id: int, link: Link, end: str) -> None:
         """Attach one end of a switch-to-switch trunk as ``port_id``.
@@ -187,7 +174,7 @@ class Switch:
                 # Consumed here: downstream either sees our own notice
                 # (analytic hold cut short) or simply never sees the
                 # cancelled per-packet forwards.
-                run = self._train_runs.pop((msg.src_nic, msg.train_id), None)
+                run = self._train_runs.pop(msg.train_id, None)
                 if run is not None:
                     run.truncate(msg.npackets)
             else:
@@ -312,7 +299,7 @@ class Switch:
 
     def _ingress_train(self, in_link: Link, train: PacketTrain) -> None:
         run = TrainRun(train.npackets)
-        self._train_runs[(train.src_nic, train.train_id)] = run
+        self._train_runs[train.train_id] = run
         self.env.process(self._forward_train(train, run, in_link),
                          name=f"{self.name}.fwd")
 
@@ -347,7 +334,7 @@ class Switch:
             else:
                 # Complete, or cut short by an upstream truncation whose
                 # notice already left the registry.
-                self._train_runs.pop((train.src_nic, train.train_id), None)
+                self._train_runs.pop(train.train_id, None)
             return
         obs.counter("net.train_decoalesce",
                     where=self.name, reason=reason).inc()
@@ -371,8 +358,7 @@ class Switch:
         # Registry cleanup after the last packet could have fired: any
         # truncation notice provably arrives earlier.
         last = arrival + (train.npackets - 1) * per_in + cross
-        entries.append((last, self._train_runs.pop,
-                        ((train.src_nic, train.train_id), None)))
+        entries.append((last, self._train_runs.pop, (train.train_id, None)))
         self.env.schedule_bulk(entries)
 
     def _frag_of(self, train: PacketTrain) -> Message:

@@ -4,7 +4,9 @@ Open-loop mode (the default) replays an absolute arrival schedule: a
 dispatcher process releases each request at its drawn time into the
 issuing client's FIFO queue, and each client executes its queue
 *sequentially* (one in-flight op per client — both what the GM-side
-protocol objects require and what makes queueing delay visible).  Per-op
+protocol objects require and what makes queueing delay visible).  The
+schedule counts from the instant :func:`run_load` is called, not from
+t=0, so set-up time never shows up as a burst of overdue arrivals.  Per-op
 latency is measured from the *scheduled arrival* to completion, so once
 the offered rate exceeds the service rate, queue wait dominates and the
 tail explodes — the saturation knee.
@@ -16,7 +18,8 @@ saturation.
 
 Everything is recorded twice: into the ambient :mod:`repro.obs`
 registry (histogram ``load.op_latency_ns`` on a wide 1-2-5 ladder,
-counters ``load.ops`` / ``load.failures``) and into the returned
+counters ``load.ops`` / ``load.failures``; with no registry installed
+the histogram is a private one) and into the returned
 :class:`LoadResult` (offered vs achieved rate, p50/p95/p99 via the
 histogram's documented upper-bound :meth:`~repro.obs.registry.Histogram.
 quantile`, and Jain's fairness index over per-client completions).
@@ -123,9 +126,13 @@ class _Recorder:
     """Shared per-run accounting: obs instruments + result tallies."""
 
     def __init__(self, workload_name: str, n_clients: int):
-        self.hist = obs.histogram("load.op_latency_ns",
-                                  buckets=LATENCY_BOUNDS,
-                                  workload=workload_name)
+        if obs.metrics_enabled():
+            self.hist = obs.histogram("load.op_latency_ns",
+                                      buckets=LATENCY_BOUNDS,
+                                      workload=workload_name)
+        else:
+            # The quantiles in LoadResult need real buckets either way.
+            self.hist = obs.Histogram(buckets=LATENCY_BOUNDS)
         self.per_client = [0] * n_clients
         self.failed = 0
         self.total_latency = 0
@@ -153,17 +160,19 @@ class _Recorder:
 _OP_ERRORS = (Eio, NetworkError, SocketError)
 
 
-def _dispatch(env: Environment, sched, queues):
-    """Open-loop release: each request enters its client's queue at its
-    drawn absolute time, whatever the clients are doing."""
+def _dispatch(env: Environment, sched, queues, t_start: int):
+    """Open-loop release: each request enters its client's queue at
+    ``t_start`` plus its drawn arrival time, whatever the clients are
+    doing."""
     for item in sched:
-        dt = item.at_ns - env.now
+        dt = t_start + item.at_ns - env.now
         if dt > 0:
             yield env.timeout(dt)
         queues[item.client].put(item)
 
 
-def _open_worker(env, workload, client, queue, n_items, rec: _Recorder):
+def _open_worker(env, workload, client, queue, n_items, t_start: int,
+                 rec: _Recorder):
     for _ in range(n_items):
         item = yield queue.get()
         try:
@@ -171,7 +180,7 @@ def _open_worker(env, workload, client, queue, n_items, rec: _Recorder):
         except _OP_ERRORS:
             rec.fail(client, item.op)
             continue
-        rec.done(client, item.op, env.now - item.at_ns, env.now)
+        rec.done(client, item.op, env.now - (t_start + item.at_ns), env.now)
 
 
 def _closed_worker(env, workload, client, items, think_ns, rec: _Recorder):
@@ -193,8 +202,8 @@ def run_load(env: Environment, workload, gen: LoadGen, mode: str = "open",
 
     ``workload`` is an adapter from :mod:`repro.load.workloads` (already
     set up on ``env``); ``mode`` is ``"open"`` (replay the drawn arrival
-    schedule) or ``"closed"`` (each client re-issues on completion with
-    ``think_ns`` between ops).
+    schedule, offset by the clock at the call) or ``"closed"`` (each
+    client re-issues on completion with ``think_ns`` between ops).
     """
     if mode not in ("open", "closed"):
         raise LoadSpecError(f"mode must be 'open' or 'closed', got {mode!r}")
@@ -206,10 +215,11 @@ def run_load(env: Environment, workload, gen: LoadGen, mode: str = "open",
         counts = [0] * gen.n_clients
         for item in sched:
             counts[item.client] += 1
-        env.process(_dispatch(env, sched, queues), name="load.dispatch")
+        env.process(_dispatch(env, sched, queues, t_start),
+                    name="load.dispatch")
         workers = [
             env.process(_open_worker(env, workload, c, queues[c],
-                                     counts[c], rec),
+                                     counts[c], t_start, rec),
                         name=f"load.client{c}")
             for c in range(gen.n_clients)
         ]

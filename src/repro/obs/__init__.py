@@ -46,7 +46,6 @@ from .registry import (
     histogram,
     install_registry,
     installed_registry,
-    merge_snapshots,
     metric_key,
     metrics_enabled,
     register_collector,
@@ -89,7 +88,6 @@ __all__ = [
     "install_timeline",
     "installed_registry",
     "instant",
-    "merge_snapshots",
     "metric_key",
     "metrics_enabled",
     "register_collector",

@@ -74,8 +74,8 @@ def _quantile(bounds: Sequence[int], bucket_counts: Sequence[int],
 
 def snapshot_quantile(hist_snapshot: dict, q: float) -> Optional[float]:
     """:meth:`Histogram.quantile` over a *snapshot* dict (the
-    ``histograms[key]`` entry of a registry snapshot, including merged
-    per-shard snapshots) — same bucket-upper-bound semantics."""
+    ``histograms[key]`` entry of a registry snapshot) — same
+    bucket-upper-bound semantics."""
     bounds = [b for b, _c in hist_snapshot["buckets"]]
     counts = [c for _b, c in hist_snapshot["buckets"]]
     return _quantile(bounds, counts, hist_snapshot["count"], q)
@@ -347,55 +347,6 @@ def histogram(name: str, buckets: Optional[Sequence[int]] = None, **labels):
     if _active is None:
         return NULL_HISTOGRAM
     return _active.histogram(name, buckets=buckets, **labels)
-
-
-# -- snapshot merging (sharded runs) ---------------------------------------
-
-
-def merge_snapshots(snapshots: Sequence[dict]) -> dict:
-    """Merge per-shard :meth:`MetricsRegistry.snapshot` dicts into one.
-
-    Counters and gauges sum per metric key; histograms sum bucket
-    counts positionally (bounds must agree), plus overflow/count/sum.
-    Every instrument in the simulator is either additive (byte/event
-    counters, busy time, copy totals) or owned by exactly one shard
-    (per-node gauges — the other shards never create the key, or create
-    it still zero), so summation reproduces exactly the single-process
-    registry for a deterministic workload.
-    """
-    counters: dict = {}
-    gauges: dict = {}
-    histograms: dict = {}
-    for snap in snapshots:
-        if snap.get("schema") != "repro-obs/1":
-            raise ObsError(f"cannot merge snapshot with schema {snap.get('schema')!r}")
-        for key, value in snap["counters"].items():
-            counters[key] = counters.get(key, 0) + value
-        for key, value in snap["gauges"].items():
-            gauges[key] = gauges.get(key, 0) + value
-        for key, h in snap["histograms"].items():
-            merged = histograms.get(key)
-            if merged is None:
-                histograms[key] = {
-                    "buckets": [list(b) for b in h["buckets"]],
-                    "overflow": h["overflow"],
-                    "count": h["count"],
-                    "sum": h["sum"],
-                }
-                continue
-            if [b for b, _ in merged["buckets"]] != [b for b, _ in h["buckets"]]:
-                raise ObsError(f"histogram {key!r} bucket bounds differ across shards")
-            for slot, (_, c) in zip(merged["buckets"], h["buckets"]):
-                slot[1] += c
-            merged["overflow"] += h["overflow"]
-            merged["count"] += h["count"]
-            merged["sum"] += h["sum"]
-    return {
-        "schema": "repro-obs/1",
-        "counters": counters,
-        "gauges": gauges,
-        "histograms": histograms,
-    }
 
 
 def snapshot_to_json(snapshot: dict) -> str:

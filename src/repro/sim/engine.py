@@ -350,7 +350,7 @@ class Environment:
     """The simulation world: clock, event queues, and process factory."""
 
     #: Events dispatched by *all* environments in this process since
-    #: import.  ``run``/``step``/``run_window`` flush into it alongside
+    #: import.  ``run``/``step`` flush into it alongside
     #: the per-instance counter; the bench runner reads deltas around a
     #: figure (which may build several environments) for ``--timings``.
     lifetime_events_processed: int = 0
@@ -451,42 +451,6 @@ class Environment:
         else:
             heap.extend(pending)
             heapq.heapify(heap)
-
-    def schedule_ranked(
-            self,
-            entries: Iterable[tuple[int, int, Callable[..., Any], tuple]],
-    ) -> None:
-        """Schedule ``(when, rank, fn, args)`` callbacks with explicit
-        same-timestamp ordering.
-
-        Ordinary scheduling breaks timestamp ties by insertion order
-        (the monotone ``_seq`` counter), which is deterministic only
-        when the *insertion* order is.  A sharded worker commits
-        cross-border arrivals at window boundaries whose placement
-        depends on wall-clock pipe batching, so insertion-order ties
-        would leak wall-clock into the simulation.  Callers instead
-        supply a ``rank`` that must be **negative** (sorting before
-        every insertion-ordered event at the same timestamp — the
-        conservative protocol's lookahead means the matching sequential
-        arrival was scheduled at the send instant, at least one border
-        propagation delay before any same-instant local competitor) and
-        **unique** across the run.  Entries must be strictly in the
-        future; a conservative worker only learns of an arrival at
-        ``t`` while its clock is below ``t``.
-        """
-        heap = self._heap
-        now = self._now
-        for when, rank, fn, args in entries:
-            if when <= now:
-                raise SimulationError(
-                    f"schedule_ranked entry at {when} is not in the future "
-                    f"(now {now})")
-            if rank >= 0:
-                raise SimulationError(
-                    f"schedule_ranked rank must be negative, got {rank}")
-            call = _Call(self, fn, args)
-            call._scheduled = True
-            heapq.heappush(heap, (when, rank, call))
 
     def step(self) -> None:
         """Pop and process the next event; raises if both queues are empty."""
@@ -605,65 +569,6 @@ class Environment:
             Environment.lifetime_events_processed += n
         self._now = deadline
         return None
-
-    def run_window(self, limit: int) -> int:
-        """Process every queued event *strictly before* ``limit``.
-
-        The sharded engine's inner loop: a shard granted horizon ``H``
-        by its neighbours may only consume events with ``t < H`` — an
-        event at exactly ``H`` could still be preempted by a cross-shard
-        arrival at ``H`` (border grants are lower bounds with equality
-        possible).  Unlike ``run(until=limit)`` the clock is **not**
-        advanced to ``limit`` afterwards: it stays at the last processed
-        event so later arrivals in ``[now, limit)``-adjacent windows can
-        still be committed with ``schedule_bulk``.  Returns the number
-        of events processed in this window.
-        """
-        heap = self._heap
-        imm = self._immediate
-        pop = heapq.heappop
-        n = 0
-        try:
-            while True:
-                # Immediates only exist at the current time, and the
-                # current time is only reached by processing an event
-                # strictly below ``limit`` — so ``imm`` non-empty
-                # implies ``now < limit`` except at the very first
-                # window, which the explicit check covers.
-                if heap and heap[0][0] == self._now and self._now < limit:
-                    event = pop(heap)[2]
-                elif imm and self._now < limit:
-                    event = imm.popleft()
-                elif heap and heap[0][0] < limit:
-                    when, _, event = pop(heap)
-                    self._now = when
-                else:
-                    break
-                n += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                for fn in callbacks:
-                    fn(event)
-        finally:
-            self.events_processed += n
-            Environment.lifetime_events_processed += n
-        return n
-
-    def advance_to(self, when: int) -> None:
-        """Jump the clock forward over a provably idle span.
-
-        Used by shard workers at a phase barrier: every shard reports
-        quiescence, the coordinator picks the global resume time, and
-        each worker fast-forwards to it.  Refuses to skip over pending
-        work — the span must genuinely be empty.
-        """
-        if when < self._now:
-            raise SimulationError(f"advance_to({when}) is in the past (now {self._now})")
-        if self._immediate or (self._heap and self._heap[0][0] < when):
-            raise SimulationError(
-                f"advance_to({when}) would skip over pending events (now {self._now})"
-            )
-        self._now = when
 
     def peek(self) -> Optional[int]:
         """Timestamp of the next queued event, or None if queues are empty."""

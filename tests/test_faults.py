@@ -12,7 +12,8 @@ import os
 
 import pytest
 
-from repro.cluster import node_pair
+from repro.bench.transports import GmUserTransport
+from repro.cluster import node_pair, star
 from repro.core import MxKernelChannel
 from repro.errors import Eio, LinkDown, MessageDropped, NodeCrashed
 from repro.faults import FaultPlan, LinkFaultSpec
@@ -96,6 +97,48 @@ def test_same_seed_reproduces_byte_identical_traces():
     trace, stats, retrans, _ = outputs[0]
     assert stats["dropped"] > 0  # the plan actually fired
     assert "fault.drop" in trace
+
+
+def _star_ping_pong_trace(seed, rounds=6, size=8 * 1024):
+    """Three nodes round a switch, a seeded drop stream on one spoke,
+    GM ping-pong on that spoke and across the other two; returns the
+    rendered trace and the final clock."""
+    env = Environment()
+    nodes, switch = star(env, 3, switch_name="star")
+    plan = FaultPlan(seed=seed)
+    records = plan.tracer.record_everything()
+    plan.drop("star.l0", 0.25)
+    plan.install(env, nodes=nodes, switches=[switch])
+    pairs = [
+        (GmUserTransport(nodes[0], 1, peer_node=1, peer_port=1),
+         GmUserTransport(nodes[1], 1, peer_node=0, peer_port=1)),
+        (GmUserTransport(nodes[1], 2, peer_node=2, peer_port=2),
+         GmUserTransport(nodes[2], 2, peer_node=1, peer_port=2)),
+    ]
+    env.run(until=env.all_of([env.process(t.prepare(size))
+                              for pair in pairs for t in pair]))
+
+    def client(t):
+        for i in range(rounds):
+            yield from t.send(size, match=i)
+            yield from t.recv(size)
+
+    def responder(t):
+        for i in range(rounds):
+            yield from t.recv(size)
+            yield from t.send(size, match=i)
+
+    env.run(until=env.all_of([env.process(g) for c, r in pairs
+                              for g in (client(c), responder(r))]))
+    return render_trace(records), env.now
+
+
+def test_same_seed_reproduces_star_trace_through_switch_ports():
+    """Injectors armed via ``switches=`` on a star spoke: the same seed
+    renders the same trace, and the stream actually fires."""
+    first = _star_ping_pong_trace(3)
+    assert first == _star_ping_pong_trace(3)
+    assert "fault.drop" in first[0]
 
 
 def test_different_seeds_change_the_fault_pattern():

@@ -133,12 +133,20 @@ def test_jain_fairness():
 
 
 def _run_orfa(rate: float, n_ops: int = 120, mode: str = "open",
-              seed: int = 1):
-    with isolated_run(observe=True):
+              seed: int = 1, observe: bool = True, idle_ns: int = 0,
+              starts: list | None = None):
+    """One ORFA load run on a 6-node star.  ``idle_ns`` idles the clock
+    between set-up and ``run_load``; ``starts`` collects the clock at
+    the ``run_load`` call."""
+    with isolated_run(observe=observe):
         env = Environment()
         nodes, _switch = star(env, 6)
         wl = make_workload({"kind": "orfa", "api": "mx"}, env,
                            nodes[0], nodes[1:5])
+        if idle_ns:
+            env.run(until=env.now + idle_ns)
+        if starts is not None:
+            starts.append(env.now)
         gen = LoadGen(PoissonArrivals(seed, rate), make_mix("read4k"),
                       seed, n_ops, 4)
         return run_load(env, wl, gen, mode=mode)
@@ -159,6 +167,28 @@ def test_open_loop_saturation_raises_tail_latency():
 def test_open_loop_results_are_deterministic():
     a, b = _run_orfa(16000.0), _run_orfa(16000.0)
     assert a == b
+
+
+def test_open_loop_schedule_counts_from_run_start():
+    """Set-up advances the clock before ``run_load``; the schedule must
+    start there, so no op's latency carries set-up time and idling
+    longer before the run shifts nothing."""
+    idle_ns = 5_000_000
+    starts = []
+    base = _run_orfa(4000.0, starts=starts)
+    later = _run_orfa(4000.0, idle_ns=idle_ns, starts=starts)
+    assert 0 < starts[0] < starts[1]
+    assert later.p99_ns < idle_ns
+    assert later == base
+
+
+def test_run_load_without_metrics_registry():
+    observed = _run_orfa(16000.0)
+    bare = _run_orfa(16000.0, observe=False)
+    assert bare.p50_ns > 0
+    assert ((bare.p50_ns, bare.p95_ns, bare.p99_ns)
+            == (observed.p50_ns, observed.p95_ns, observed.p99_ns))
+    assert bare == observed
 
 
 def test_closed_loop_measures_service_time():

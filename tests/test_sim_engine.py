@@ -568,45 +568,3 @@ def test_schedule_bulk_heapify_path_matches_push_path():
         return log
 
     assert run(batched=True) == run(batched=False)
-
-
-# -- run_window / advance_to (sharded-engine building blocks) -----------------
-
-
-def test_run_window_processes_strictly_below_limit():
-    env = Environment()
-    log = []
-    for when in (10, 20, 30):
-        env.call_at(when, log.append, when)
-    n = env.run_window(30)
-    assert n == 2
-    assert log == [10, 20]
-    assert env.now == 20              # clock NOT advanced to the limit
-    assert env.peek() == 30
-
-
-def test_run_window_drains_immediates_inside_window():
-    env = Environment()
-    log = []
-
-    def chain():
-        log.append("a")
-        env.call_at(env.now, log.append, "b")
-
-    env.call_at(5, chain)
-    env.run_window(6)
-    assert log == ["a", "b"]
-
-
-def test_advance_to_moves_idle_clock_only():
-    env = Environment()
-    env.run_window(100)
-    env.advance_to(80)
-    assert env.now == 80
-    with pytest.raises(SimulationError):
-        env.advance_to(79)            # backwards
-    env.call_at(90, lambda: None)
-    with pytest.raises(SimulationError):
-        env.advance_to(95)            # would skip a queued event
-    env.advance_to(90)                # exactly at the event is fine
-    assert env.now == 90

@@ -1,21 +1,15 @@
 """Fabric topology layer: fat-tree/dragonfly construction, ECMP
-determinism, adaptive routing under faults, pod partitioning, and
-sharded-vs-sequential identity of a partitioned fat-tree."""
+determinism and adaptive routing under faults."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.node import star
-from repro.cluster.partition import (PartitionError, TopoLink, cut_links,
-                                     propose_partition, validate_partition)
 from repro.cluster.topo import dragonfly, fat_tree
 from repro.faults import FaultPlan
-from repro.hw.params import FabricParams, HostParams, NicParams, PCI_XD, \
-    host_params
+from repro.hw.params import FabricParams, host_params
 from repro.sim import Environment
-from repro.sim.shard import run_sequential, run_sharded
-from repro.units import KiB, PAGE_SIZE
 
 SMALL_HOST = host_params(memory_frames=2048)
 
@@ -146,48 +140,6 @@ def test_adaptive_paths_not_frozen():
     assert len(f.path(0, 1)) == 2  # same-edge needs no trunk decision
 
 
-# -- partitioning -----------------------------------------------------------
-
-
-def test_propose_pods_cuts_only_inter_pod_trunks():
-    env = Environment()
-    f = fat_tree(env, 4, host=SMALL_HOST)
-    assignment = f.propose_pods(2)
-    links = f.topolinks()
-    validate_partition(links, assignment)
-    for link in cut_links(links, assignment):
-        # Every proposed cut is an inter-group trunk with the fat
-        # propagation (= the sharded lookahead window).
-        assert link.propagation_ns >= f.params.inter_propagation_ns
-    # Hosts stay glued to their edge switch; pods stay whole.
-    for nid, sw_name in f.locator.items():
-        assert assignment[f._node_name[nid]] == assignment[sw_name]
-    for sw_name, group in f.group_of.items():
-        if group >= 0:
-            peer = next(s for s, g in f.group_of.items()
-                        if g == group and s != sw_name)
-            assert assignment[sw_name] == assignment[peer]
-
-
-def test_min_cut_propagation_contracts_thin_links():
-    entities = ["a", "b", "c", "d"]
-    links = [
-        TopoLink("t0", "a", "b", 500),
-        TopoLink("t1", "b", "c", 2000),
-        TopoLink("t2", "c", "d", 500),
-    ]
-    assignment = propose_partition(entities, links, 2,
-                                   min_cut_propagation_ns=2000)
-    assert assignment["a"] == assignment["b"]
-    assert assignment["c"] == assignment["d"]
-    assert assignment["a"] != assignment["c"]
-    # Without the floor the thin links are legal cuts and 4 shards fit;
-    # with it only the fat trunk separates the two components.
-    propose_partition(entities, links, 4)
-    with pytest.raises(PartitionError):
-        propose_partition(entities, links, 3, min_cut_propagation_ns=2000)
-
-
 # -- star name_prefix -------------------------------------------------------
 
 
@@ -197,91 +149,3 @@ def test_star_name_prefix_threads_through():
                          switch_name="rack0.sw")
     assert [n.name for n in nodes] == ["rack0.n0", "rack0.n1", "rack0.n2"]
     assert switch.name == "rack0.sw"
-
-
-# -- sharded fat-tree -------------------------------------------------------
-
-
-class FatTreeShardScenario:
-    """A k=4 fat-tree split pod-wise over two shards, with cross-cut
-    transfers in both directions.  Partial fabrics install no
-    FlowNetwork (reservations cannot see across the cut), so sharded
-    and sequential runs must agree exactly."""
-
-    nshards = 2
-    nphases = 2
-
-    def __init__(self, size=32 * KiB):
-        self.size = size
-        probe = fat_tree(Environment(), 4, host=SMALL_HOST, flow=None)
-        self.assignment = probe.propose_pods(2)
-        self._borders = [
-            (l.name, self.assignment[l.a], self.assignment[l.b])
-            for l in cut_links(probe.topolinks(), self.assignment)
-        ]
-        by_shard = {0: [], 1: []}
-        for nid in sorted(probe.locator):
-            by_shard[self.assignment[probe._node_name[nid]]].append(nid)
-        # Two transfers per direction across the cut.
-        self.pairs = [
-            (by_shard[0][0], by_shard[1][0]),
-            (by_shard[0][1], by_shard[1][1]),
-            (by_shard[1][2], by_shard[0][2]),
-            (by_shard[1][3], by_shard[0][3]),
-        ]
-
-    def borders(self):
-        return self._borders
-
-    def build(self, shard_id, env, hub):
-        from repro.bench.transports import MxTransport
-
-        fabric = fat_tree(env, 4, host=SMALL_HOST, hub=hub,
-                          shard_id=shard_id, assignment=self.assignment)
-        local = {node.node_id: node for node in fabric.nodes}
-        senders = {}
-        receivers = {}
-        for src, dst in self.pairs:
-            if src in local:
-                senders[(src, dst)] = MxTransport(
-                    local[src], 1, peer_node=dst, peer_ep=2,
-                    context="kernel")
-            if dst in local:
-                receivers[(src, dst)] = MxTransport(
-                    local[dst], 2, peer_node=src, peer_ep=1,
-                    context="kernel")
-        return {"senders": senders, "receivers": receivers, "done": {}}
-
-    def phase(self, shard_id, k, env, ctx):
-        if k == 0:
-            return [t.prepare(max(self.size, PAGE_SIZE))
-                    for t in (list(ctx["senders"].values())
-                              + list(ctx["receivers"].values()))]
-        procs = [self._tx(t) for t in ctx["senders"].values()]
-        procs += [self._rx(env, ctx, pair, t)
-                  for pair, t in ctx["receivers"].items()]
-        return procs
-
-    def _tx(self, t):
-        yield from t.send(self.size)
-
-    def _rx(self, env, ctx, pair, t):
-        yield from t.recv(self.size)
-        ctx["done"][pair] = env.now
-
-    def result(self, shard_id, env, ctx):
-        return {"done": sorted(ctx["done"].items()), "now": env.now}
-
-
-def test_sharded_fat_tree_matches_sequential():
-    scenario = FatTreeShardScenario()
-    assert scenario._borders  # the partition really cuts something
-    seq = run_sequential(scenario)
-    shard = run_sharded(scenario)
-    assert shard.now == seq.now
-    assert shard.events_processed == seq.events_processed
-    for sid in range(scenario.nshards):
-        assert shard.payloads[sid] == seq.payloads[0][sid]
-    done = dict(kv for sid in range(2)
-                for kv in shard.payloads[sid]["done"])
-    assert sorted(done) == sorted(scenario.pairs)
