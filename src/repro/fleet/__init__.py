@@ -3,10 +3,10 @@
 Two halves:
 
 * :mod:`repro.fleet.isolate` — the per-run global-state scrub (host-copy
-  accounting, obs registry/timeline, fidelity switches, id counters)
-  that makes back-to-back in-process runs byte-identical to
-  fresh-process runs.  The NBD chaos harness uses the same
-  discipline.
+  accounting, obs registry/timeline, fidelity switches) that makes
+  back-to-back in-process runs byte-identical to fresh-process runs
+  (ids need no scrub: each :class:`~repro.sim.Environment` numbers its
+  own).  The NBD chaos harness uses the same discipline.
 * :mod:`repro.fleet.spec` / :mod:`repro.fleet.runner` — an experiment
   spec declaring a grid over {topology, fidelity mode, workload + API,
   arrival process, offered load, fault plan}; the runner expands the
@@ -23,7 +23,7 @@ imports :mod:`repro.fleet.isolate` for the scrub, and must not drag the
 whole sweep runner (and its workload imports) in behind it.
 """
 
-from .isolate import isolated_run, reset_id_counters
+from .isolate import isolated_run
 
 _LAZY = {
     "FleetSpec": "spec",
@@ -37,7 +37,7 @@ _LAZY = {
     "run_point": "runner",
 }
 
-__all__ = ["isolated_run", "reset_id_counters", *sorted(_LAZY)]
+__all__ = ["isolated_run", *sorted(_LAZY)]
 
 
 def __getattr__(name: str):

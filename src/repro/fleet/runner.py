@@ -1,9 +1,9 @@
 """The sweep runner: expand a fleet spec, run every point, tabulate.
 
 Each grid point runs under :func:`repro.fleet.isolate.isolated_run` —
-fresh metrics registry, zeroed host-copy accounting, fresh-process id
-counters, fidelity switches scoped to the point — in its own
-:class:`~repro.sim.Environment`.  That makes a point hermetic, which
+fresh metrics registry, zeroed host-copy accounting, fidelity switches
+scoped to the point — in its own :class:`~repro.sim.Environment`, which
+numbers its own ids.  That makes a point hermetic, which
 buys the fleet contract for free:
 
 * *same spec + seed => byte-identical results files*, and

@@ -31,7 +31,6 @@ segments, so end-to-end tests observe genuine data movement.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -635,8 +634,6 @@ class _ReliableDelivery:
 class Nic:
     """A Myrinet network interface card attached to one host."""
 
-    _rndv_ids = itertools.count(1)
-
     def __init__(
         self,
         env: Environment,
@@ -806,7 +803,7 @@ class Nic:
             fw_time += self.params.translation_lookup_ns
         yield from self.fw.acquire(fw_time)
         if desc.rendezvous:
-            rndv_id = next(Nic._rndv_ids)
+            rndv_id = self.env.next_id("nic.rndv")
             self._stalled_rndv[rndv_id] = desc
             rts = Message(
                 kind=MsgKind.RTS,
@@ -934,6 +931,7 @@ class Nic:
             match=desc.match,
             npackets=nfrags,
             wire_size=mtu,
+            train_id=self.env.next_id("train"),
         )
         run = TrainRun(nfrags)
         sent = yield from self._link.transmit_train(self._link_end, train, run)

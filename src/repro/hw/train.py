@@ -47,28 +47,19 @@ One level further up sits the flow engine (:mod:`repro.hw.flow`): where
 a train coalesces one message's FRAG burst *per hop*, a flow reservation
 coalesces the whole burst *across the path*, and de-coalesces back to
 trains/packets by the same playbook (its remainder re-enters this
-module's machinery untouched).  Trains and flows share one id space
-(:func:`next_transit_id`) so a switch's in-flight transit registry can
-never alias a re-emitted train of a de-coalesced flow with the flow
-itself.
+module's machinery untouched).  Train ids come from the environment's
+``"train"`` id space (:meth:`~repro.sim.Environment.next_id`); a
+switch's in-flight train registry is keyed by train id alone, and flows
+number themselves separately (``FlowNetwork``), never entering it.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .wire import MsgKind
 
 #: Below this many FRAGs the analytic path saves nothing worth the
 #: bookkeeping; such messages always take the per-packet loop.
 MIN_TRAIN_FRAGS = 2
-
-_train_ids = itertools.count(1)
-
-
-def next_transit_id() -> int:
-    """Next id from the shared train/flow transit id space."""
-    return next(_train_ids)
 
 _enabled = True
 
@@ -105,7 +96,8 @@ class PacketTrain:
     kind = MsgKind.FRAG
 
     def __init__(self, src_nic: int, src_port: int, dst_nic: int,
-                 dst_port: int, match: int, npackets: int, wire_size: int):
+                 dst_port: int, match: int, npackets: int, wire_size: int,
+                 train_id: int):
         self.src_nic = src_nic
         self.src_port = src_port
         self.dst_nic = dst_nic
@@ -113,7 +105,7 @@ class PacketTrain:
         self.match = match
         self.npackets = npackets
         self.wire_size = wire_size
-        self.train_id = next_transit_id()
+        self.train_id = train_id
 
 
 class TrainTruncation:

@@ -18,11 +18,11 @@ saturation.
 
 Everything is recorded twice: into the ambient :mod:`repro.obs`
 registry (histogram ``load.op_latency_ns`` on a wide 1-2-5 ladder,
-counters ``load.ops`` / ``load.failures``; with no registry installed
-the histogram is a private one) and into the returned
+counters ``load.ops`` / ``load.failures``) and into the returned
 :class:`LoadResult` (offered vs achieved rate, p50/p95/p99 via the
-histogram's documented upper-bound :meth:`~repro.obs.registry.Histogram.
-quantile`, and Jain's fairness index over per-client completions).
+documented upper-bound :meth:`~repro.obs.registry.Histogram.quantile`
+of a private per-run histogram, and Jain's fairness index over
+per-client completions).
 """
 
 from __future__ import annotations
@@ -126,13 +126,13 @@ class _Recorder:
     """Shared per-run accounting: obs instruments + result tallies."""
 
     def __init__(self, workload_name: str, n_clients: int):
-        if obs.metrics_enabled():
-            self.hist = obs.histogram("load.op_latency_ns",
-                                      buckets=LATENCY_BOUNDS,
-                                      workload=workload_name)
-        else:
-            # The quantiles in LoadResult need real buckets either way.
-            self.hist = obs.Histogram(buckets=LATENCY_BOUNDS)
+        # LoadResult's quantiles come from this run alone; the registry
+        # histogram (a no-op without a registry) is get-or-create, so
+        # earlier runs under the same registry share it.
+        self.hist = obs.Histogram(buckets=LATENCY_BOUNDS)
+        self.metric = obs.histogram("load.op_latency_ns",
+                                    buckets=LATENCY_BOUNDS,
+                                    workload=workload_name)
         self.per_client = [0] * n_clients
         self.failed = 0
         self.total_latency = 0
@@ -141,6 +141,7 @@ class _Recorder:
 
     def done(self, client: int, op: str, latency_ns: int, now: int) -> None:
         self.hist.observe(latency_ns)
+        self.metric.observe(latency_ns)
         if obs.metrics_enabled():
             obs.counter("load.ops", workload=self.workload_name,
                         op=op, client=client).inc()

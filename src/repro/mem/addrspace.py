@@ -12,7 +12,8 @@ arguments:
   (:mod:`repro.kernel.vmaspy`) and through it the registration cache
   (:mod:`repro.gmkrc`) subscribe to these — the paper's central
   coherence mechanism.
-* Each space has a small integer ``asid``.  GM's shared-port trick
+* Each space has a small integer ``asid``, numbered per host (by its
+  :class:`~repro.mem.phys.PhysicalMemory`).  GM's shared-port trick
   (paper section 3.2: encode an address-space descriptor in the high
   bits of a 64-bit pointer, on a 32-bit host) is implemented over these
   asids in :mod:`repro.gmkrc.spaces`.
@@ -32,7 +33,7 @@ from typing import Callable, Iterator, Optional
 from ..errors import BadAddress, ProtectionFault
 from ..units import PAGE_MASK, PAGE_SIZE, page_align_up
 from .phys import Frame, PhysicalMemory
-from .sglist import PayloadRef, seal, write_chunks
+from .sglist import PayloadRef
 
 USER_BASE = 0x1000_0000  # first user-mappable virtual address
 USER_TOP = 0x8000_0000  # 2 GB user space, mirroring 32-bit Linux
@@ -85,12 +86,9 @@ class VMA:
 class AddressSpace:
     """One process's virtual address space."""
 
-    _next_asid = 1
-
     def __init__(self, phys: PhysicalMemory):
         self.phys = phys
-        self.asid = AddressSpace._next_asid
-        AddressSpace._next_asid += 1
+        self.asid = next(phys.asids)
         self._vmas: list[VMA] = []
         self._pages: dict[int, Frame] = {}  # vpn -> frame
         self._borrowed: set[int] = set()  # vpns mapped over foreign frames
@@ -336,13 +334,13 @@ class AddressSpace:
             chunks.append(self.phys.frame_at_phys(phys).view(offset, chunk))
             addr += chunk
             remaining -= chunk
-        return seal(PayloadRef.from_chunks(chunks))
+        return PayloadRef.from_chunks(chunks)
 
     def write_payload(self, vaddr: int, payload: PayloadRef) -> None:
         """Scatter a :class:`PayloadRef` into this address space at
         ``vaddr`` — the zero-copy counterpart of :meth:`write_bytes`."""
         addr = vaddr
-        for chunk in write_chunks(payload):
+        for chunk in payload.chunks():
             self.write_bytes(addr, chunk)
             addr += len(chunk)
 

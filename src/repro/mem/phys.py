@@ -13,12 +13,13 @@ cache (always-resident pages) end up bumping the same counter in Linux.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from typing import Optional
 
 from ..errors import OutOfMemory, PinningError
 from ..units import PAGE_SHIFT, PAGE_SIZE
-from .sglist import HOST_COPIES, materialize_enabled
+from .sglist import HOST_COPIES
 
 _ZERO_PAGE = bytes(PAGE_SIZE)
 
@@ -133,6 +134,9 @@ class PhysicalMemory:
         self._run_starts: list[int] = [0]
         self._run_ends: list[int] = [total_frames]
         self._free_count = total_frames
+        #: Address-space ids of this host, drawn by
+        #: :class:`~repro.mem.addrspace.AddressSpace`.
+        self.asids = itertools.count(1)
 
     @property
     def free_frames(self) -> int:
@@ -282,12 +286,7 @@ class PhysicalMemory:
         first write (directed-send deposit offsets).  Writing stops when
         either the payload or the segments run out; returns the bytes
         written.
-
-        In legacy/materialize mode each per-segment piece is re-cast to
-        ``bytes`` first (and counted) — exactly the ``bytes(view[:chunk])``
-        the old NIC scatter loop performed before ``write_phys``.
         """
-        legacy = materialize_enabled()
         segs = iter(sg)
         seg = next(segs, None)
         seg_off = 0
@@ -303,11 +302,7 @@ class PhysicalMemory:
             view = chunk if isinstance(chunk, memoryview) else memoryview(chunk)
             while len(view) and seg is not None:
                 n = min(len(view), seg.length - seg_off)
-                piece = view[:n]
-                if legacy:
-                    HOST_COPIES.count(n)
-                    piece = bytes(piece)
-                self.write_phys(seg.phys_addr + seg_off, piece)
+                self.write_phys(seg.phys_addr + seg_off, view[:n])
                 written += n
                 seg_off += n
                 view = view[n:]

@@ -17,18 +17,11 @@ copies are not.**  Nothing in this module touches ``cpu.copy`` or any
 other simulated-time charge; it only changes what the host Python
 process does, so every figure stays byte-identical.
 
-Two support facilities live here because every layer needs them:
-
-* :data:`HOST_COPIES` — a global accounting hook counting *real* host
-  byte-copies (frame reads/writes, joins, casts, COW detaches).  The
-  data-path benchmark reads it to prove the copies are gone, and CI
-  pins a per-byte budget on it (deterministic, unlike wall-clock).
-* ``set_materialize(True)`` — a legacy mode in which every payload
-  builder eagerly snapshots to ``bytes`` and every scatter re-casts,
-  reproducing (and counting) the pre-PayloadRef behaviour.  The
-  benchmark runs both modes over the same traffic for an honest A/B;
-  simulated time is identical in both.
-
+One support facility lives here because every layer needs it:
+:data:`HOST_COPIES`, a global accounting hook counting *real* host
+byte-copies (frame reads/writes, joins, casts, COW detaches).  The
+data-path benchmark reads it to prove the copies are gone, and CI pins a
+per-byte budget on it (deterministic, unlike wall-clock).
 In-flight safety: a view taken from a :class:`repro.mem.phys.Frame`
 marks the frame *shared*; the frame's next write detaches its storage
 first (copy-on-write), so a sender recycling its transmit buffer can
@@ -37,7 +30,7 @@ never corrupt a payload still on the simulated wire.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 from zlib import crc32
 
 from ..obs import registry as obs_registry
@@ -83,46 +76,6 @@ def _collect_host_copies(registry) -> None:
 
 
 obs_registry.register_collector(_collect_host_copies)
-
-_materialize = False
-
-
-def set_materialize(on: bool) -> None:
-    """Switch the legacy bounce-buffer emulation on or off (bench A/B)."""
-    global _materialize
-    _materialize = bool(on)
-
-
-def materialize_enabled() -> bool:
-    return _materialize
-
-
-def seal(ref: "PayloadRef") -> "PayloadRef":
-    """Finish a payload builder.
-
-    In normal operation this is the identity.  In legacy/materialize
-    mode it eagerly snapshots the views to one ``bytes`` object — the
-    gather-join every builder used to perform — and counts the copy.
-    """
-    if _materialize and ref.length:
-        return PayloadRef.from_bytes(ref.tobytes())
-    return ref
-
-
-def write_chunks(ref: "PayloadRef") -> Iterator["bytes | memoryview"]:
-    """Iterate a payload's chunks for a scatter-side consumer.
-
-    In legacy/materialize mode each chunk is re-cast to ``bytes`` first
-    (and counted) — the ``bytes(view[:chunk])`` every scatter loop used
-    to do before handing data to ``write_phys``/``frame.write``.
-    """
-    if _materialize:
-        for chunk in ref.chunks():
-            HOST_COPIES.count(len(chunk))
-            yield bytes(chunk)
-    else:
-        yield from ref.chunks()
-
 
 def _as_chunks(obj) -> "tuple":
     """Normalize any bytes-like or PayloadRef into a chunk tuple."""
@@ -186,7 +139,7 @@ class PayloadRef:
         for seg in sg:
             if seg.length:
                 chunks.extend(phys.read_phys_view(seg.phys_addr, seg.length))
-        return seal(cls(tuple(chunks), _trusted=True))
+        return cls(tuple(chunks), _trusted=True)
 
     @classmethod
     def concat(cls, parts: Iterable["PayloadRef"]) -> "PayloadRef":

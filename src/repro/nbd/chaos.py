@@ -189,8 +189,8 @@ def run_scenario(name: str, seed: int = 1, n_ops: int = 120,
         raise ValueError(f"unknown scenario {name!r}; "
                          f"known: {', '.join(SCENARIOS)}")
     _desc, arm = SCENARIOS[name]
-    # One hermetic run: fresh registry, zeroed host-copy accounting,
-    # fresh-process id counters — see repro.fleet.isolate.
+    # One hermetic run: fresh registry, zeroed host-copy accounting —
+    # see repro.fleet.isolate.
     with isolated_run(observe=True) as registry:
         env = Environment()
         nodes, switch = star(env, 5)

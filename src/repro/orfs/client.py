@@ -15,8 +15,6 @@ client — the whole point of the paper's kernel API work.
 
 from __future__ import annotations
 
-import itertools
-
 from ..cluster.node import Node
 from ..core.channel import KernelChannel
 from ..errors import FsError, ProtocolError
@@ -48,7 +46,6 @@ class OrfsClient:
     """FileSystemOps implementation speaking ORFA over a KernelChannel."""
 
     fs_name = "orfs"
-    _request_ids = itertools.count(1_000_000)
 
     def __init__(self, node: Node, channel: KernelChannel,
                  server: tuple[int, int]):
@@ -93,7 +90,8 @@ class OrfsClient:
         return reply
 
     def _new_request(self, op: OrfaOp, **kw) -> OrfaRequest:
-        return OrfaRequest(op=op, request_id=next(OrfsClient._request_ids), **kw)
+        request_id = self.node.env.next_id("orfs.request", 1_000_000)
+        return OrfaRequest(op=op, request_id=request_id, **kw)
 
     # -- FileSystemOps: namespace ------------------------------------------------
 

@@ -33,6 +33,7 @@ the heap alone would have produced.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -364,11 +365,25 @@ class Environment:
         #: environment's lifetime.  Deterministic (same model, same
         #: count), so perf gates can budget on it instead of wall-clock.
         self.events_processed: int = 0
+        self._id_spaces: dict[str, itertools.count] = {}
 
     @property
     def now(self) -> int:
         """Current simulation time in nanoseconds."""
         return self._now
+
+    def next_id(self, space: str, start: int = 1) -> int:
+        """Next id from the named id space of this simulation.
+
+        Request, connection, context, rendezvous and train ids are
+        numbered per environment, so a run's ids never depend on what
+        else ran earlier in the same process.  ``start`` is the first id
+        handed out; it only matters on a space's first use.
+        """
+        ids = self._id_spaces.get(space)
+        if ids is None:
+            ids = self._id_spaces[space] = itertools.count(start)
+        return next(ids)
 
     # -- event factories -------------------------------------------------
 

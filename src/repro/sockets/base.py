@@ -12,7 +12,6 @@ silently truncating.
 
 from __future__ import annotations
 
-import itertools
 from ..errors import SocketError
 from ..mem.addrspace import AddressSpace
 
@@ -20,12 +19,9 @@ from ..mem.addrspace import AddressSpace
 #: the syscall itself.
 SOCK_LAYER_NS = 500
 
-_conn_ids = itertools.count(0x5000)
-
-
-def new_connection_id() -> int:
+def new_connection_id(env) -> int:
     """Allocate a cluster-unique connection (match) id."""
-    return next(_conn_ids)
+    return env.next_id("socket.conn", 0x5000)
 
 
 class KSocket:

@@ -169,7 +169,7 @@ class SocketsGmModule:
         """Generator: open a connection to a listening peer module."""
         if not self._ready.processed:
             yield self._ready
-        conn_id = new_connection_id()
+        conn_id = new_connection_id(self.node.env)
         ack = yield from self._post_ctrl_recv(conn_id)
         yield from self._ctrl_send(server_node, server_port, LISTEN_MATCH,
                                    ("syn", conn_id, self.node.node_id,

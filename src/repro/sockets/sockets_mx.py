@@ -76,7 +76,7 @@ class SocketsMxModule:
 
     def connect(self, server_node: int, server_port: int):
         """Generator: open a connection to a listening peer module."""
-        conn_id = new_connection_id()
+        conn_id = new_connection_id(self.node.env)
         ack_recv = yield from self.endpoint.irecv(
             [MxSegment.kernel(self._ctrl.vaddr, 256)], match=conn_id
         )

@@ -1,18 +1,25 @@
 """The experiment fleet: spec expansion, isolation, byte-identity."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro import obs
 from repro.cluster.topo import (clear_route_cache, fat_tree,
                                 route_cache_stats)
 from repro.fleet import (FleetSpec, FleetSpecError, isolated_run,
                          render_csv, render_json, run_fleet, run_point)
-from repro.fleet.isolate import reset_id_counters
 from repro.hw import flow as flowmod
 from repro.hw import train as trainmod
 from repro.mem.sglist import HOST_COPIES
+from repro.cluster.node import star
+from repro.load import LoadGen, PoissonArrivals, make_mix, make_workload, run_load
 from repro.sim import Environment
 
 # -- spec validation and expansion ---------------------------------------------
@@ -93,15 +100,42 @@ def test_fault_axis_config_labels():
 # -- isolation -----------------------------------------------------------------
 
 
-def test_isolated_run_resets_id_counters_to_fresh_process_values():
-    from repro.orfa.client import OrfaClient
+def orfa_timeline() -> str:
+    """A 2-client ORFA-over-GM load run, as timeline JSON.  Its spans
+    carry request ids, so the bytes show how ids were numbered."""
+    timeline = obs.install_timeline()
+    try:
+        env = Environment()
+        nodes, _switch = star(env, 3)
+        wl = make_workload({"kind": "orfa", "api": "gm"}, env,
+                           nodes[0], nodes[1:])
+        gen = LoadGen(PoissonArrivals(1, 16000.0), make_mix("read4k"),
+                      1, 40, 2)
+        run_load(env, wl, gen)
+    finally:
+        obs.uninstall_timeline()
+    return timeline.to_json()
 
-    reset_id_counters()
-    for _ in range(5):
-        next(OrfaClient._request_ids)
-    with isolated_run(observe=False):
-        assert next(OrfaClient._request_ids) == 1
-    reset_id_counters()
+
+def test_second_simulation_in_a_process_matches_a_fresh_process():
+    """Ids belong to the simulation: a run after another run in the same
+    process, with no scrub in between, gives the bytes a fresh process
+    gives."""
+    orfa_timeline()
+    second = orfa_timeline()
+    src = Path(repro.__file__).resolve().parents[1]
+    root = Path(__file__).resolve().parents[1]
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from tests.test_fleet import orfa_timeline; "
+         "sys.stdout.write(orfa_timeline())"],
+        cwd=root, capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{root}"},
+    ).stdout
+    ids = [e["args"]["request_id"] for e in json.loads(fresh)["traceEvents"]
+           if "request_id" in e.get("args", {})]
+    assert min(ids) == 1
+    assert second == fresh
 
 
 def test_isolated_run_restores_ambient_state():
@@ -146,17 +180,14 @@ def test_rerun_and_parallel_runs_are_byte_identical():
     isolation scrub leaves nothing behind that a fresh process wouldn't
     also see."""
     spec = _spec()
-    # Dirty the process-global counters first, as a long-lived session
-    # would: the scrub must make this invisible.
-    from repro.orfa.client import OrfaClient
-    for _ in range(17):
-        next(OrfaClient._request_ids)
+    # Dirty the process first, as a long-lived session would: an earlier
+    # simulation must leave nothing behind.
+    orfa_timeline()
     first = render_json(run_fleet(spec, parallel=1))
     second = render_json(run_fleet(spec, parallel=1))
     forked = render_json(run_fleet(spec, parallel=2))
     assert first == second
     assert first == forked
-    reset_id_counters()
 
 
 def test_run_point_rows_are_complete():

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.cluster.node import star
 from repro.fleet.isolate import isolated_run
 from repro.load import (LATENCY_BOUNDS, LoadGen, LoadSpecError, MIXES,
@@ -134,11 +135,12 @@ def test_jain_fairness():
 
 def _run_orfa(rate: float, n_ops: int = 120, mode: str = "open",
               seed: int = 1, observe: bool = True, idle_ns: int = 0,
-              starts: list | None = None):
+              starts: list | None = None, registry=None):
     """One ORFA load run on a 6-node star.  ``idle_ns`` idles the clock
     between set-up and ``run_load``; ``starts`` collects the clock at
-    the ``run_load`` call."""
-    with isolated_run(observe=observe):
+    the ``run_load`` call; ``registry`` observes into a given registry
+    instead of a fresh one."""
+    with isolated_run(observe=observe, registry=registry):
         env = Environment()
         nodes, _switch = star(env, 6)
         wl = make_workload({"kind": "orfa", "api": "mx"}, env,
@@ -189,6 +191,18 @@ def test_run_load_without_metrics_registry():
     assert ((bare.p50_ns, bare.p95_ns, bare.p99_ns)
             == (observed.p50_ns, observed.p95_ns, observed.p99_ns))
     assert bare == observed
+
+
+def test_runs_sharing_a_registry_report_their_own_latency():
+    """The registry histogram is shared by every run observed into it;
+    each LoadResult must still describe its own run only."""
+    alone = _run_orfa(4000.0)
+    registry = obs.MetricsRegistry()
+    _run_orfa(64000.0, registry=registry)
+    after = _run_orfa(4000.0, registry=registry)
+    assert after == alone
+    hist = registry.snapshot()["histograms"]
+    assert hist["load.op_latency_ns{workload=orfa-mx}"]["count"] == 240
 
 
 def test_closed_loop_measures_service_time():

@@ -258,7 +258,7 @@ def _raw_link(env):
 
 def _train(npackets: int) -> PacketTrain:
     return PacketTrain(src_nic=0, src_port=1, dst_nic=1, dst_port=1,
-                       match=0, npackets=npackets, wire_size=MTU)
+                       match=0, npackets=npackets, wire_size=MTU, train_id=1)
 
 
 def test_link_train_split_on_contention():
