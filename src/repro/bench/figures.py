@@ -20,7 +20,7 @@ from ..gm.registration import RegistrationDomain
 from ..hw.cpu import Cpu
 from ..hw.params import HOST_P3_1200, HOST_P4_2600, PCI_XD, PCI_XE
 from ..sim import Environment
-from ..units import KiB, MiB, PAGE_SIZE, to_us, us
+from ..units import KiB, MiB, PAGE_SIZE, to_us
 from .fileio import (
     build_orfa,
     build_orfs,

@@ -12,6 +12,9 @@ test exercises.  This module measures both in isolation —
 * **allocator**: single-frame alloc/free cycles per second and
   contiguous (kmalloc-style) allocations per second over a fragmented
   pool,
+* **orfs_read**: engine events per 4 KiB page of a cold buffered ORFS
+  read over the MX kernel channel (the Fig 7(b) path) — a deterministic
+  count CI gates on, with its wall time reported beside it,
 
 and writes the numbers to ``BENCH_engine.json`` so the performance
 trajectory is visible across PRs.
@@ -34,7 +37,7 @@ from ..mem import sglist
 from ..mem.phys import PhysicalMemory
 from ..sim import Environment
 from ..sim.resources import Store
-from ..units import KiB, MiB
+from ..units import PAGE_SIZE, KiB, MiB
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +310,49 @@ def bench_packet_train(quick: bool = False) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# the Fig 7(b) read path
+# ---------------------------------------------------------------------------
+
+
+def bench_orfs_read(quick: bool = False) -> dict:
+    """Engine events per page of a cold buffered ORFS-over-MX read.
+
+    One 1 MiB file read sequentially in 64 KiB requests through the
+    in-kernel ORFS client, the MX kernel channel and the ORFA server
+    (the page cache starts cold, so every page crosses the wire).  The
+    event count is deterministic: CI gates ``events_per_page`` so that
+    per-page bookkeeping cannot creep back onto the path.  Wall and CPU
+    time (min over repetitions) are reported, never gated.
+    """
+    from .fileio import build_orfs, orfs_sequential_read
+
+    file_bytes = MiB
+    request = 64 * KiB
+    reps = 1 if quick else 5
+    walls, cpus = [], []
+    for _ in range(reps):
+        rig = build_orfs("mx", file_size=file_bytes)
+        base = rig.env.events_processed
+        w0 = time.perf_counter()
+        c0 = time.process_time()
+        result = orfs_sequential_read(rig, request, total_bytes=file_bytes)
+        cpus.append(time.process_time() - c0)
+        walls.append(time.perf_counter() - w0)
+        events = rig.env.events_processed - base  # same on every rep
+    pages = file_bytes // PAGE_SIZE
+    return {
+        "file_bytes": file_bytes,
+        "request_size": request,
+        "pages": pages,
+        "events": events,
+        "events_per_page": events / pages,
+        "sim_elapsed_ns": result.elapsed_ns,
+        "wall_s": min(walls),
+        "cpu_s": min(cpus),
+    }
+
+
+# ---------------------------------------------------------------------------
 # fabric / hybrid fidelity
 # ---------------------------------------------------------------------------
 
@@ -373,6 +419,7 @@ def run_perf(quick: bool = False) -> dict:
         },
         "data_path": bench_data_path(quick=quick),
         "packet_train": bench_packet_train(quick=quick),
+        "orfs_read": bench_orfs_read(quick=quick),
         "topo": _bench_topo(quick=quick),
         "topo_full": _bench_topo_full(quick=quick),
     }
@@ -394,6 +441,8 @@ def run_perf(quick: bool = False) -> dict:
         "packet_train_event_reduction": pt["event_reduction_min"],
         "packet_train_events_per_mb": pt["events_per_mb_train_max"],
         "packet_train_sim_identical": pt["sim_time_identical"],
+        "orfs_read_events_per_page": report["orfs_read"]["events_per_page"],
+        "orfs_read_wall_s": report["orfs_read"]["wall_s"],
         "topo_event_reduction": tp["event_reduction"],
         "topo_events_per_mib_flow": tp["events_per_mib_flow"],
         "topo_identity_identical": (tp["identity_completions_identical"]
@@ -433,6 +482,8 @@ def main(argv: list[str] | None = None) -> int:
         f"data-path copies : {summary['data_path_copy_per_byte_max']:>12.2f} host bytes copied per payload byte (max)",
         f"packet trains    : {summary['packet_train_event_reduction']:>12.2f} x fewer engine events "
         f"({summary['packet_train_events_per_mb']:,.0f} events/MB)",
+        f"orfs read        : {summary['orfs_read_events_per_page']:>12.2f} engine events per 4 KiB page "
+        f"({summary['orfs_read_wall_s']:.3f} s wall per MiB)",
         f"fabric flows     : {summary['topo_event_reduction']:>12.2f} x fewer engine events "
         f"({summary['topo_events_per_mib_flow']:,.0f} events/MiB), "
         f"identity={summary['topo_identity_identical']}",

@@ -8,7 +8,7 @@ key and the sender's out-of-band protocol header.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from ..cluster.node import Node
@@ -26,7 +26,7 @@ class UnsupportedOperation(ReproError):
     user-memory sends on GM, section 4.1)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ChannelCompletion:
     """Receiver-visible outcome of one message."""
 
@@ -42,6 +42,9 @@ class ChannelSend:
 
     event: Event
     length: int
+    # GM backend: the registration-cache entry held until the send
+    # completes (None for physical sends).
+    _entry: Any = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -51,6 +54,10 @@ class ChannelRecv:
     event: Event
     capacity: int
     match: Optional[int] = None
+    # Backend hooks: the MX request behind the handle, or the GM
+    # registration-cache entry held until the receive completes.
+    _req: Any = field(default=None, repr=False, compare=False)
+    _entry: Any = field(default=None, repr=False, compare=False)
 
     @property
     def completed(self) -> bool:
@@ -104,9 +111,8 @@ class MxKernelChannel(KernelChannel):
     def post_recv(self, segments: Sequence[MxSegment],
                   match: Optional[int] = None):
         req = yield from self.endpoint.irecv(segments, match=match)
-        handle = ChannelRecv(event=req.event, capacity=req.length, match=match)
-        handle._req = req  # backend hook for wait_recv
-        return handle
+        return ChannelRecv(event=req.event, capacity=req.length, match=match,
+                           _req=req)
 
     def wait_send(self, handle: ChannelSend):
         if not handle.event.processed:
@@ -204,7 +210,6 @@ class GmKernelChannel(KernelChannel):
                 dst_node, dst_port, sg, match=match, tag=("send", handle),
                 meta=meta,
             )
-            handle._entry = None
         return handle
 
     def post_recv(self, segments: Sequence[MxSegment],
@@ -230,7 +235,6 @@ class GmKernelChannel(KernelChannel):
             yield from self.port.provide_receive_buffer_physical(
                 sg, match=match, tag=("recv", handle),
             )
-            handle._entry = None
         return handle
 
     def _resolve_phys(self, segments: Sequence[MxSegment]) -> list[PhysSegment]:

@@ -69,6 +69,8 @@ class Link:
         self.tracer = None
         #: Trains this link carried analytically (cheap introspection).
         self.trains_carried = 0
+        # serialization_ns memo (frozen params; packet sizes repeat).
+        self._serialization: dict[int, int] = {}
 
     @property
     def bytes_carried(self) -> int:
@@ -96,7 +98,11 @@ class Link:
 
     def serialization_ns(self, nbytes: int) -> int:
         """Time the wire is occupied sending ``nbytes``."""
-        return transfer_time_ns(nbytes, self.params.link_bandwidth)
+        t = self._serialization.get(nbytes)
+        if t is None:
+            t = self._serialization[nbytes] = transfer_time_ns(
+                nbytes, self.params.link_bandwidth)
+        return t
 
     def _deliver_at(self, to_end: str, when: int, item: Any) -> None:
         """Hand ``item`` to the ``to_end`` endpoint at absolute time ``when``.

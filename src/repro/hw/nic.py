@@ -40,7 +40,7 @@ from ..errors import LinkDown, MessageDropped, NicError, NodeCrashed, PortError
 from ..mem.layout import PhysSegment
 from ..mem.phys import PhysicalMemory
 from ..mem.sglist import PayloadRef
-from ..sim import Environment, Event, Resource, Store
+from ..sim import Environment, Event, Resource
 from ..units import transfer_time_ns
 from .link import Link
 from .params import DEFAULT_RELIABILITY, ApiCosts, NicParams, ReliabilityParams
@@ -54,7 +54,7 @@ TRAIN_LEN_BUCKETS = (4, 16, 64, 256, 1024)
 from ..nicfw.transtable import TranslationTable
 
 
-@dataclass
+@dataclass(slots=True)
 class SendCompletion:
     """Posted to the sender when its message has left the host."""
 
@@ -63,7 +63,7 @@ class SendCompletion:
     finished_at: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ReceiveCompletion:
     """Posted to the receiver when a message landed in its buffer."""
 
@@ -78,7 +78,7 @@ class ReceiveCompletion:
     meta: Any = None  # sender's out-of-band protocol header
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """What travels on the wire."""
 
@@ -105,7 +105,7 @@ class Message:
     corrupted: bool = False  # injected bit error; receiver CRC drops it
 
 
-@dataclass
+@dataclass(slots=True)
 class SendDescriptor:
     """Host -> NIC send request (built by the API layers)."""
 
@@ -128,7 +128,7 @@ class SendDescriptor:
     rma_offset: int = 0  # directed sends: deposit offset in the target window
 
 
-@dataclass
+@dataclass(slots=True)
 class PostedReceive:
     """A receive buffer posted on a port."""
 
@@ -651,7 +651,10 @@ class Nic:
         self.pci = Resource(env, 1, f"{name}.pci")
         self.transtable = TranslationTable(params.translation_table_entries)
         self.ports: dict[int, NicPort] = {}
-        self._rx_queue: Store = Store(env, f"{name}.rx")
+        # Arrivals waiting for the firmware receive path (see
+        # _on_wire_arrival); _rx_busy while one message is in it.
+        self._rx_backlog: deque[Message] = deque()
+        self._rx_busy = False
         self._link: Optional[Link] = None
         self._link_end: str = "a"
         self._pending_rndv: dict[int, _PendingRendezvous] = {}
@@ -678,7 +681,6 @@ class Nic:
         #: Total retransmitted messages; per-peer detail lives on the
         #: registry as ``nic.tx.retransmits{node=...,peer=...}``.
         self.retransmissions = 0
-        env.process(self._rx_loop(), name=f"{self.name}.rxloop")
 
     @property
     def messages_sent(self) -> int:
@@ -959,61 +961,99 @@ class Nic:
             )
         if self.crashed:
             return  # dead silicon: bits hit the connector and vanish
-        self._rx_queue.put(msg)
+        if self._rx_busy:
+            self._rx_backlog.append(msg)
+        else:
+            self._rx_busy = True
+            self.env.call_at(self.env.now, self._rx_start, msg)
 
-    def _rx_loop(self):
-        while True:
-            msg = yield self._rx_queue.get()
-            if msg.kind is MsgKind.FRAG:
-                # Pacing packet of a fragmented message: the semantic
-                # message (and all per-message costs) ride the final one.
-                continue
-            if self._rel is not None:
-                filtered = self._rel.on_arrival(msg)
-                if filtered is None:
-                    continue  # ack / duplicate / gap / CRC failure
-                msg = filtered
-            if msg.kind is MsgKind.CTS:
-                yield from self.fw.acquire(self._ctrl_fw_cost(msg))
-                self._on_cts(msg)
-                continue
-            port = self.ports.get(msg.dst_port)
-            if port is None or not port.open:
-                # Message to nowhere: real GM raises an error event at the
-                # sender; dropping here keeps the model simple and loud in
-                # tests via the counters.
-                continue
-            costs = port.costs
-            if msg.kind is MsgKind.RTS:
-                yield from self.fw.acquire(costs.fw_recv_ns)
-                recv = port._match(msg.match)
-                if recv is None:
-                    port.unexpected_rts.append(msg)
-                else:
-                    self._accept_rts(port, msg, recv)
-                continue
-            # EAGER or RDATA
-            yield from self.fw.acquire(costs.fw_recv_ns + self.params.dma_setup_ns)
-            if msg.kind is MsgKind.RDATA:
-                pending = self._pending_rndv.pop(msg.rndv_id, None)
-                if pending is None:
-                    if self._rel is not None:
-                        # A NIC reset wiped the pending-rendezvous table;
-                        # the sender's give-up path reports the failure.
-                        continue
-                    raise NicError(f"RDATA with unknown rendezvous id {msg.rndv_id}")
-                recv = pending.recv
-            else:
-                recv = port._match(msg.match)
-            if recv is None:
-                port.unexpected.append(msg)
-                continue
-            if recv.translate_rx:
-                # The posted buffer is registered-virtual: the NIC looks
-                # up its translation before the deposit DMA (the 0.5 us
-                # the paper's physical primitives save on this side).
-                yield from self.fw.acquire(self.params.translation_lookup_ns)
-            self._complete_receive(port, msg, recv)
+    # The firmware receive path handles one message at a time, in
+    # arrival order, as a chain of callbacks: each firmware hold is a
+    # ``fw.hold_then`` whose continuation is the next step, and the last
+    # step calls _rx_next.  A message starts in an immediate slot of its
+    # own — when it arrives at an idle path, or when its predecessor
+    # finishes — and every firmware hold ends in the slot a process
+    # doing ``yield from fw.acquire(...)`` would resume in.
+
+    def _rx_next(self) -> None:
+        """The current message is done: start the next one, if any."""
+        if self._rx_backlog:
+            self.env.call_at(self.env.now, self._rx_start,
+                             self._rx_backlog.popleft())
+        else:
+            self._rx_busy = False
+
+    def _rx_start(self, msg: Message) -> None:
+        if msg.kind is MsgKind.FRAG:
+            # Pacing packet of a fragmented message: the semantic
+            # message (and all per-message costs) ride the final one.
+            self._rx_next()
+            return
+        if self._rel is not None:
+            msg = self._rel.on_arrival(msg)
+            if msg is None:
+                self._rx_next()  # ack / duplicate / gap / CRC failure
+                return
+        if msg.kind is MsgKind.CTS:
+            self.fw.hold_then(self._ctrl_fw_cost(msg), self._rx_cts, msg)
+            return
+        port = self.ports.get(msg.dst_port)
+        if port is None or not port.open:
+            # Message to nowhere: real GM raises an error event at the
+            # sender; dropping here keeps the model simple and loud in
+            # tests via the counters.
+            self._rx_next()
+            return
+        costs = port.costs
+        if msg.kind is MsgKind.RTS:
+            self.fw.hold_then(costs.fw_recv_ns, self._rx_rts, port, msg)
+            return
+        # EAGER or RDATA
+        self.fw.hold_then(costs.fw_recv_ns + self.params.dma_setup_ns,
+                          self._rx_data, port, msg)
+
+    def _rx_cts(self, msg: Message) -> None:
+        self._on_cts(msg)
+        self._rx_next()
+
+    def _rx_rts(self, port: NicPort, msg: Message) -> None:
+        recv = port._match(msg.match)
+        if recv is None:
+            port.unexpected_rts.append(msg)
+        else:
+            self._accept_rts(port, msg, recv)
+        self._rx_next()
+
+    def _rx_data(self, port: NicPort, msg: Message) -> None:
+        if msg.kind is MsgKind.RDATA:
+            pending = self._pending_rndv.pop(msg.rndv_id, None)
+            if pending is None:
+                if self._rel is not None:
+                    # A NIC reset wiped the pending-rendezvous table;
+                    # the sender's give-up path reports the failure.
+                    self._rx_next()
+                    return
+                raise NicError(f"RDATA with unknown rendezvous id {msg.rndv_id}")
+            recv = pending.recv
+        else:
+            recv = port._match(msg.match)
+        if recv is None:
+            port.unexpected.append(msg)
+            self._rx_next()
+            return
+        if recv.translate_rx:
+            # The posted buffer is registered-virtual: the NIC looks
+            # up its translation before the deposit DMA (the 0.5 us
+            # the paper's physical primitives save on this side).
+            self.fw.hold_then(self.params.translation_lookup_ns,
+                              self._rx_deposit, port, msg, recv)
+            return
+        self._rx_deposit(port, msg, recv)
+
+    def _rx_deposit(self, port: NicPort, msg: Message,
+                    recv: PostedReceive) -> None:
+        self._complete_receive(port, msg, recv)
+        self._rx_next()
 
     def _ctrl_fw_cost(self, msg: Message) -> int:
         # Control messages are handled entirely in firmware; charge a

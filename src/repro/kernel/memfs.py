@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..errors import Eexist, Einval, Eisdir, Enoent, Enotdir, Enotempty
 from ..hw.cpu import Cpu

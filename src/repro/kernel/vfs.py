@@ -21,7 +21,7 @@ cost constants come from :class:`repro.hw.params.CpuParams`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Protocol
 
 from ..errors import Ebadf, Einval, Eisdir, Enoent

@@ -27,7 +27,8 @@ MX API's explicit memory types exist to prevent.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from ..errors import BadAddress, ProtectionFault
@@ -67,16 +68,26 @@ class AddressSpaceChange:
     length: int
 
 
-@dataclass
+#: Protection bits as plain ints, for the per-access check.
+_READ = Prot.READ.value
+_WRITE = Prot.WRITE.value
+
+
+@dataclass(frozen=True, slots=True)
 class VMA:
-    """A virtual memory area: [start, end) with uniform protection."""
+    """A virtual memory area: [start, end) with uniform protection.
+
+    Immutable: mprotect/munmap replace VMAs instead of editing them, so
+    the sorted start list an address space bisects never goes stale.
+    """
 
     start: int
     end: int
     prot: Prot
+    bits: int = field(init=False, repr=False, compare=False)  # prot.value
 
-    def __contains__(self, addr: int) -> bool:
-        return self.start <= addr < self.end
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bits", self.prot.value)
 
     @property
     def length(self) -> int:
@@ -89,7 +100,8 @@ class AddressSpace:
     def __init__(self, phys: PhysicalMemory):
         self.phys = phys
         self.asid = next(phys.asids)
-        self._vmas: list[VMA] = []
+        self._vmas: list[VMA] = []  # sorted by start, non-overlapping
+        self._starts: list[int] = []  # [v.start for v in _vmas], for bisect
         self._pages: dict[int, Frame] = {}  # vpn -> frame
         self._borrowed: set[int] = set()  # vpns mapped over foreign frames
         self._next_mmap = USER_BASE
@@ -123,9 +135,7 @@ class AddressSpace:
             raise ValueError(f"mmap length must be positive, got {length}")
         length = page_align_up(length)
         start = self._find_region(length)
-        vma = VMA(start, start + length, prot)
-        self._vmas.append(vma)
-        self._vmas.sort(key=lambda v: v.start)
+        self._set_vmas(self._vmas + [VMA(start, start + length, prot)])
         if populate:
             for vpn in range(start >> 12, (start + length) >> 12):
                 self._populate(vpn)
@@ -144,8 +154,7 @@ class AddressSpace:
             raise ValueError("map_frames needs at least one frame")
         length = len(frames) * PAGE_SIZE
         start = self._find_region(length)
-        self._vmas.append(VMA(start, start + length, prot))
-        self._vmas.sort(key=lambda v: v.start)
+        self._set_vmas(self._vmas + [VMA(start, start + length, prot)])
         for i, frame in enumerate(frames):
             vpn = (start >> 12) + i
             self._pages[vpn] = frame
@@ -175,7 +184,7 @@ class AddressSpace:
                 new_vmas.append(VMA(vma.start, start, vma.prot))
             if vma.end > end:
                 new_vmas.append(VMA(end, vma.end, vma.prot))
-        self._vmas = sorted(new_vmas, key=lambda v: v.start)
+        self._set_vmas(new_vmas)
         for vpn in range(start >> 12, end >> 12):
             frame = self._pages.pop(vpn, None)
             borrowed = vpn in self._borrowed
@@ -203,7 +212,7 @@ class AddressSpace:
             updated.append(VMA(max(vma.start, start), min(vma.end, end), prot))
             if vma.end > end:
                 updated.append(VMA(end, vma.end, vma.prot))
-        self._vmas = sorted(updated, key=lambda v: v.start)
+        self._set_vmas(updated)
 
     def fork(self) -> "AddressSpace":
         """Duplicate the space (eager copy, not COW — simpler, and the
@@ -216,7 +225,7 @@ class AddressSpace:
         self._check_alive()
         self._notify(ChangeKind.FORK, USER_BASE, USER_TOP - USER_BASE)
         child = AddressSpace(self.phys)
-        child._vmas = [VMA(v.start, v.end, v.prot) for v in self._vmas]
+        child._set_vmas(self._vmas)  # VMAs are immutable: share them
         child._next_mmap = self._next_mmap
         for vpn, frame in self._pages.items():
             if vpn in self._borrowed:
@@ -239,15 +248,17 @@ class AddressSpace:
                 self.phys.free(frame)
         self._pages.clear()
         self._borrowed.clear()
-        self._vmas.clear()
+        self._set_vmas([])
         self._alive = False
 
     # -- translation / access ---------------------------------------------
 
     def vma_at(self, addr: int) -> Optional[VMA]:
         """The VMA containing ``addr``, or None."""
-        for vma in self._vmas:
-            if addr in vma:
+        i = bisect_right(self._starts, addr) - 1
+        if i >= 0:
+            vma = self._vmas[i]
+            if addr < vma.end:
                 return vma
         return None
 
@@ -261,8 +272,7 @@ class AddressSpace:
         vma = self.vma_at(vaddr)
         if vma is None:
             raise BadAddress(f"unmapped address {vaddr:#x} in asid {self.asid}")
-        needed = Prot.WRITE if write else Prot.READ
-        if not vma.prot & needed:
+        if not vma.bits & (_WRITE if write else _READ):
             raise ProtectionFault(
                 f"{'write' if write else 'read'} to {vaddr:#x} violates {vma.prot}"
             )
@@ -372,6 +382,10 @@ class AddressSpace:
             frame.unpin()
 
     # -- internals -----------------------------------------------------------
+
+    def _set_vmas(self, vmas: list[VMA]) -> None:
+        self._vmas = sorted(vmas, key=lambda v: v.start)
+        self._starts = [v.start for v in self._vmas]
 
     def _populate(self, vpn: int) -> Frame:
         frame = self.phys.alloc()

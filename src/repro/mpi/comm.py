@@ -20,7 +20,7 @@ which is exactly why GM performs well here and poorly in the kernel.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from .. import obs

@@ -54,9 +54,9 @@ _PIO_PER_BYTE_NS = 3
 _TEST_NS = 100
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class MxRequest:
-    """Handle for one in-flight MX operation."""
+    """Handle for one in-flight MX operation (compared by identity)."""
 
     kind: str  # "send" | "recv"
     length: int
@@ -95,6 +95,9 @@ class MxEndpoint:
         self.cpu = node.cpu
         self.nic_port: NicPort = node.nic.open_port(endpoint_id, self.costs)
         self._open = True
+        # The blocked wait_any call, if any: (wake-up event, the
+        # requests it waits on).
+        self._any_wait: Optional[tuple[Event, Sequence[MxRequest]]] = None
         # Per-class send accounting on the metrics registry (unregistered
         # per-instance counters while no registry is installed); the
         # classic attribute names below read through to them.
@@ -224,7 +227,7 @@ class MxEndpoint:
         )
         self.node.nic.submit(desc)
         # The host buffer was consumed by the PIO write: complete now.
-        req.event.succeed(req)
+        self._complete(req)
 
     def _send_medium(self, dst_node, dst_endpoint, segments, match, req, meta=None):
         zero_copy = self.no_send_copy and self._zero_copy_eligible(segments)
@@ -248,10 +251,10 @@ class MxEndpoint:
         completion = self.node.nic.submit(desc)
         if zero_copy:
             # Sending in place: the buffer is busy until the DMA is done.
-            completion.add_callback(lambda ev: req.event.succeed(req))
+            completion.add_callback(lambda ev: self._complete(req))
         else:
             # Buffered send: complete as soon as the copy has happened.
-            req.event.succeed(req)
+            self._complete(req)
 
     def _send_large(self, dst_node, dst_endpoint, segments, match, req, meta=None):
         self._m_large.inc()
@@ -277,7 +280,7 @@ class MxEndpoint:
         def _done(ev):
             for frame in pinned:
                 frame.unpin()
-            req.event.succeed(req)
+            self._complete(req)
 
         completion.add_callback(_done)
 
@@ -305,10 +308,9 @@ class MxEndpoint:
                 PostedReceive(match=match, capacity=length, keep_data=True,
                               completion=nic_event, tag=tag)
             )
-            self.env.process(
-                self._ring_copy_out(nic_event, segments, req),
-                name="mx.ringcopy",
-            )
+            # Copy-out runs when the NIC has landed the message.
+            nic_event.add_callback(lambda ev: self.cpu.copy_then(
+                ev.value.size, self._ring_copied, ev.value, segments, req))
         else:
             pinned: list = []
             npages = user_pages(segments)
@@ -328,18 +330,17 @@ class MxEndpoint:
                 for frame in pinned:
                     frame.unpin()
                 req.result = ev.value
-                req.event.succeed(req)
+                self._complete(req)
 
             nic_event.add_callback(_done)
         return req
 
-    def _ring_copy_out(self, nic_event: Event, segments, req: MxRequest):
-        completion = yield nic_event
-        yield from self.cpu.copy(completion.size)
+    def _ring_copied(self, completion, segments, req: MxRequest) -> None:
+        """The host copied a ring message out: scatter it, complete ``req``."""
         if completion.data is not None:
             self._scatter_payload(segments, completion.data)
         req.result = completion
-        req.event.succeed(req)
+        self._complete(req)
 
     # -- completion -------------------------------------------------------------------
 
@@ -378,17 +379,43 @@ class MxEndpoint:
         """Generator: wait for any of several requests — the completion
         flexibility the paper contrasts with GM's unique event queue
         ("allowing the application to wait on a single or any pending
-        request", section 5.2)."""
+        request", section 5.2).
+
+        The requests must be this endpoint's; when several have
+        completed, the lowest-index one is returned.  One call at a
+        time may block on an endpoint.
+        """
         if not requests:
             raise MXError("wait_any needs at least one request")
-        ready = [r for r in requests if r.event.processed]
-        if not ready:
-            yield self.env.any_of([r.event for r in requests])
-            ready = [r for r in requests if r.event.processed]
+        ready = _first_completed(requests)
+        if ready is None:
+            if self._any_wait is not None:
+                raise MXError("another wait_any is blocked on this endpoint")
+            # One wake-up event, fired by _wake_any when a request it
+            # covers completes.  Nothing is hung on the pending requests
+            # themselves, so a server that waits on its ring again and
+            # again leaves no dead callbacks.
+            waiter = self.env.event("mx.wait_any")
+            self._any_wait = (waiter, requests)
+            yield waiter
+            ready = _first_completed(requests)
         yield from self.cpu.work(self.costs.host_event_ns)
         if blocking:
             yield from self.cpu.work(self.costs.blocking_wakeup_ns)
-        return ready[0]
+        return ready
+
+    def _complete(self, req: MxRequest) -> None:
+        """Complete ``req``; when its event fires, _wake_any runs."""
+        req.event.succeed(req)
+        req.event.callbacks.append(self._wake_any)
+
+    def _wake_any(self, event: Event) -> None:
+        """A request completed: wake the blocked wait_any if it covers it."""
+        blocked = self._any_wait
+        # ``in`` compares by identity: MxRequest has eq=False.
+        if blocked is not None and event.value in blocked[1]:
+            self._any_wait = None
+            blocked[0].succeed()
 
     # -- lifecycle --------------------------------------------------------------------
 
@@ -401,3 +428,11 @@ class MxEndpoint:
     def _check_open(self) -> None:
         if not self._open:
             raise MXError(f"endpoint {self.endpoint_id} is closed")
+
+
+def _first_completed(requests: Sequence[MxRequest]) -> Optional[MxRequest]:
+    """The lowest-index completed request, or None."""
+    for r in requests:
+        if r.event.processed:
+            return r
+    return None

@@ -55,7 +55,7 @@ seeded chaos run — including every failover — replays byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .. import obs

@@ -41,7 +41,7 @@ class OrfaOp(enum.Enum):
     WRITE = "write"
 
 
-@dataclass
+@dataclass(slots=True)
 class OrfaRequest:
     """One client request."""
 
@@ -57,7 +57,7 @@ class OrfaRequest:
         return REQUEST_WIRE_BYTES + len(self.name.encode())
 
 
-@dataclass
+@dataclass(slots=True)
 class OrfaReply:
     """One server reply header (data payload travels beside it)."""
 

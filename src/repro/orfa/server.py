@@ -55,7 +55,7 @@ MAX_WRITE_CHUNK = 28 * 1024
 MAX_READ_REPLY = MiB
 
 
-@dataclass
+@dataclass(slots=True)
 class _Incoming:
     request: OrfaRequest
     data: object  # PayloadRef (zero-copy views of the ring slot) or b""

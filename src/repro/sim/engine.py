@@ -156,14 +156,15 @@ class _Start:
     """Minimal immediate-queue entry that kicks a new :class:`Process` off.
 
     Duck-types the slice of the :class:`Event` interface the dispatch
-    loop and ``Process._resume`` touch (``callbacks``/``ok``/``value``)
-    without paying for a full ``Event`` + ``succeed()`` per process.
+    loop and ``Process._deliver`` touch (``callbacks``/``_ok``/``_value``,
+    plus the public ``ok``/``value``) without paying for a full
+    ``Event`` + ``succeed()`` per process.
     """
 
     __slots__ = ("callbacks",)
 
-    ok = True
-    value = None
+    ok = _ok = True
+    value = _value = None
 
     def __init__(self, callback: Callable[[Any], None]):
         self.callbacks: Optional[list[Callable[[Any], None]]] = [callback]
@@ -229,10 +230,10 @@ class Process(Event):
     def _deliver(self, event: Any) -> None:
         self._waiting_on = None
         try:
-            if event.ok:
-                target = self._gen.send(event.value)
+            if event._ok:
+                target = self._gen.send(event._value)
             else:
-                target = self._gen.throw(event.value)
+                target = self._gen.throw(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return

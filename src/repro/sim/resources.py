@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
-from .engine import Environment, Event
+from .engine import Environment, Event, Timeout
 
 
 class _Request(Event):
@@ -121,13 +121,20 @@ class Resource:
             # (a free slot implies no waiters, so FIFO order is moot).
             self._in_use += 1
             self.grant_count += 1
+            env = self.env
             if self._busy_since is None:
-                self._busy_since = self.env.now
+                self._busy_since = env._now
             try:
                 if hold_ns > 0:
-                    yield self.env.timeout(hold_ns)
+                    yield Timeout(env, hold_ns)
             finally:
-                self.release(None)  # release() never reads the request
+                # Inline release(): this hold still owns the slot it took.
+                self._in_use -= 1
+                if self._in_use == 0:
+                    self.busy_time += env._now - self._busy_since
+                    self._busy_since = None
+                while self._waiting and self._in_use < self.capacity:
+                    self._grant(self._waiting.popleft())
             return
         req = self.request()
         yield req
@@ -136,6 +143,37 @@ class Resource:
                 yield self.env.timeout(hold_ns)
         finally:
             req.release()
+
+    def hold_then(self, hold_ns: int, fn: Callable[..., Any], *args: Any) -> None:
+        """Callback twin of :meth:`acquire`: wait for a slot, hold it
+        ``hold_ns``, release it, then call ``fn(*args)``.
+
+        For model code that is a chain of callbacks rather than a
+        process.  Grant, FIFO queueing and accounting are ``acquire``'s,
+        and the end of the hold is scheduled in the queue slot that
+        ``acquire``'s timeout would take, so swapping one for the other
+        moves no event.
+        """
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            self.grant_count += 1
+            if self._busy_since is None:
+                self._busy_since = self.env._now
+            self._hold(hold_ns, fn, args)
+            return
+        req = self.request()
+        req.callbacks.append(lambda _req: self._hold(hold_ns, fn, args))
+
+    def _hold(self, hold_ns: int, fn: Callable[..., Any], args: tuple) -> None:
+        if hold_ns > 0:
+            env = self.env
+            env.call_at(env._now + hold_ns, self._end_hold, fn, args)
+        else:
+            self._end_hold(fn, args)
+
+    def _end_hold(self, fn: Callable[..., Any], args: tuple) -> None:
+        self.release(None)  # release() never reads the request
+        fn(*args)
 
     def utilization(self) -> float:
         """Fraction of elapsed simulated time this resource was busy."""

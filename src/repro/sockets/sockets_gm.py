@@ -24,8 +24,6 @@ Model, mechanism by mechanism:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..cluster.node import Node
 from ..errors import SocketError
 from ..gm.api import GmEventKind

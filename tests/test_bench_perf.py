@@ -28,6 +28,10 @@ def test_run_perf_quick_report_shape():
     assert pt["summary"]["event_reduction_min"] >= 3.0
     assert pt["summary"]["events_per_mb_train_max"] <= 150
     assert report["summary"]["packet_train_event_reduction"] >= 3.0
+    # Fig 7(b) read path: engine events per 4 KiB page (deterministic).
+    orfs = report["orfs_read"]
+    assert orfs["pages"] == 256 and orfs["events"] > 0
+    assert report["summary"]["orfs_read_events_per_page"] <= 47.5
 
 
 def test_perf_main_writes_json(tmp_path):

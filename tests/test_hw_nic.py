@@ -271,3 +271,33 @@ def test_full_duplex_directions_do_not_contend():
     env.run(until=env.all_of([done_a, done_b]))
     one_way_wire = size / (250 * MB) * 1e9
     assert env.now < 1.2 * one_way_wire  # not 2x: directions are independent
+
+
+def test_receive_drain_keeps_arrival_order_behind_busy_firmware():
+    """Arrivals that find the receive firmware busy wait in arrival
+    order, are served back to back once it frees, and a message for a
+    closed port drops out without holding up the ones behind it."""
+    env, nic_a, nic_b, _, _ = make_pair()
+    nic_a.open_port(1, MX_USER_COSTS)
+    pb = nic_b.open_port(1, MX_USER_COSTS)
+    received = []
+    pb.completion_sink = lambda c: received.append((c.data, c.finished_at))
+    for _ in range(5):
+        pb.post_receive(PostedReceive(match=None, capacity=64, keep_data=True))
+
+    def busy_firmware(env):
+        yield from nic_b.fw.acquire(us(50))
+
+    env.process(busy_firmware(env))
+    for i in range(6):
+        nic_a.submit(
+            SendDescriptor(dst_nic=1, dst_port=9 if i == 2 else 1, match=i,
+                           size=1, src_port=1, data=bytes([i]), fw_send_ns=500)
+        )
+    env.run(until=us(500))
+    assert [d for d, _ in received] == [bytes([i]) for i in (0, 1, 3, 4, 5)]
+    per_msg = MX_USER_COSTS.fw_recv_ns + nic_b.params.dma_setup_ns
+    done = [t for _, t in received]
+    assert done[0] == us(50) + per_msg
+    assert [b - a for a, b in zip(done, done[1:])] == [per_msg] * 4
+    assert nic_b.fw.in_use == 0 and nic_b.fw.queue_length == 0

@@ -6,6 +6,7 @@ from repro.cluster import node_pair
 from repro.errors import MXBadSegment, MXError
 from repro.mem.layout import sg_from_frames
 from repro.mx import MemType, MxEndpoint, MxSegment
+from repro.mx.api import MxRequest
 from repro.sim import Environment
 from repro.units import PAGE_SIZE, us
 
@@ -265,6 +266,57 @@ def test_wait_any_returns_first_completion(pair):
     env.process(sender(env))
     first = run(env, receiver(env))
     assert first.match == 2
+
+
+def test_wait_any_leaves_no_callback_on_pending_requests(pair):
+    """A server waiting on its receive ring over and over must not pile
+    dead wake-up callbacks onto the slots that stay pending."""
+    env, a, b = pair
+    ep_a = MxEndpoint(a, 1, context="kernel")
+    ep_b = MxEndpoint(b, 1, context="kernel")
+    src = a.kspace.kmalloc(PAGE_SIZE)
+    dst = [b.kspace.kmalloc(PAGE_SIZE) for _ in range(4)]
+
+    def receiver(env):
+        reqs = []
+        for i, d in enumerate(dst):
+            req = yield from ep_b.irecv([MxSegment.kernel(d.vaddr, 64)], match=i)
+            reqs.append(req)
+        got = []
+        for _ in range(2):
+            req = yield from ep_b.wait_any([r for r in reqs if not r.completed])
+            got.append(req.match)
+        return reqs, got
+
+    def sender(env):
+        for match in (2, 0):
+            req = yield from ep_a.isend(1, 1, [MxSegment.kernel(src.vaddr, 64)],
+                                        match=match)
+            yield from ep_a.wait(req)
+
+    env.process(sender(env))
+    reqs, got = run(env, receiver(env))
+    assert got == [2, 0]
+    pending = [r for r in reqs if not r.completed]
+    assert [r.match for r in pending] == [1, 3]
+    assert all(r.event.callbacks == [] for r in pending)
+
+
+def test_wait_any_returns_lowest_index_when_two_complete_at_once(pair):
+    env, a, _ = pair
+    ep = MxEndpoint(a, 1, context="kernel")
+    reqs = [MxRequest(kind="recv", length=0, match=i, event=env.event())
+            for i in range(4)]
+
+    def complete_two():
+        ep._complete(reqs[3])  # completes first, but has the higher index
+        ep._complete(reqs[1])
+
+    env.call_at(us(1), complete_two)
+    first = run(env, ep.wait_any(reqs))
+    assert first is reqs[1]
+    assert env.now == us(1) + ep.costs.host_event_ns
+    assert reqs[0].event.callbacks == [] and reqs[2].event.callbacks == []
 
 
 def test_test_polls_without_blocking(pair):

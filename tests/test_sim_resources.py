@@ -258,3 +258,76 @@ def test_store_len_and_peek():
     store.put(2)
     assert len(store) == 2
     assert store.peek_all() == (1, 2)
+
+
+def _hold_script(style):
+    """Four holders on a one-slot resource, started at t=0, 0, 10, 10,
+    plus two bystander callbacks due when the first hold ends.  ``style``
+    picks how the holders hold: ``acquire`` processes, or ``hold_then``
+    callbacks started in the immediate slot a process would start in.
+    Returns (log, resource)."""
+    env = Environment()
+    res = Resource(env, capacity=1)
+    log = []
+
+    def note(tag):
+        log.append((tag, env.now))
+
+    def start(tag, hold):
+        if style == "acquire":
+            def proc(env):
+                yield from res.acquire(hold)
+                note(tag)
+            env.process(proc(env))
+        else:
+            env.call_at(env.now, res.hold_then, hold, note, tag)
+
+    start("a", 100)  # free: granted at once
+    start("b", 0)  # queued behind a; zero-length hold
+    env.call_at(10, start, "c", 30)
+    env.call_at(10, start, "d", 20)
+    env.call_at(100, note, "bystander")  # same instant as a's release
+    # Scheduled after a's hold began: its heap entry sorts after a's end.
+    env.call_at(0, lambda: env.call_at(100, note, "late"))
+    env.run()
+    return log, res
+
+
+def test_hold_then_matches_acquire_free_and_queued():
+    want, res_a = _hold_script("acquire")
+    got, res_h = _hold_script("hold_then")
+    assert want == [("bystander", 100), ("a", 100), ("late", 100),
+                    ("b", 100), ("c", 130), ("d", 150)]
+    assert got == want
+    assert (res_h.busy_time, res_h.grant_count) == (res_a.busy_time,
+                                                    res_a.grant_count)
+    assert (res_h.in_use, res_h.queue_length) == (0, 0)
+
+
+def test_hold_then_queues_fifo_behind_acquire_waiters():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    log = []
+
+    def proc(env, tag, hold):
+        yield from res.acquire(hold)
+        log.append((tag, env.now))
+
+    env.process(proc(env, "p1", 50))
+    env.process(proc(env, "p2", 10))  # waits behind p1
+    env.run(until=1)
+    res.hold_then(5, lambda: log.append(("cb", env.now)))  # behind p2
+    env.process(proc(env, "p3", 1))  # behind the callback holder
+    env.run()
+    assert log == [("p1", 50), ("p2", 60), ("cb", 65), ("p3", 66)]
+    assert res.grant_count == 4
+    assert res.busy_time == 66
+
+
+def test_hold_then_zero_hold_runs_at_once_with_slot_released():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    seen = []
+    res.hold_then(0, lambda: seen.append((env.now, res.in_use)))
+    assert seen == [(0, 0)]
+    assert res.grant_count == 1
